@@ -69,19 +69,26 @@ fn bench_sessionizer(c: &mut Criterion) {
     group.finish();
 }
 
+/// `full` keeps the 10-ms reading off so its history stays comparable;
+/// `default` is the configuration `stream-analyze` ships with.
 fn bench_engine(c: &mut Criterion) {
     let mut group = c.benchmark_group("stream/engine");
     group.sample_size(10);
     let recs = records(0.05);
-    group.bench_with_input(BenchmarkId::new("full", recs.len()), &recs, |b, r| {
-        b.iter(|| {
-            let mut engine = StreamAnalyzer::new(small_windows()).expect("valid config");
-            for rec in black_box(r) {
-                engine.push(rec).expect("sorted input");
-            }
-            engine.finish().expect("finish").sessions
-        })
-    });
+    for (name, cfg) in [
+        ("full", small_windows()),
+        ("default", StreamConfig::default()),
+    ] {
+        group.bench_with_input(BenchmarkId::new(name, recs.len()), &recs, |b, r| {
+            b.iter(|| {
+                let mut engine = StreamAnalyzer::new(cfg.clone()).expect("valid config");
+                for rec in black_box(r) {
+                    engine.push(rec).expect("sorted input");
+                }
+                engine.finish().expect("finish").sessions
+            })
+        });
+    }
     group.finish();
 }
 

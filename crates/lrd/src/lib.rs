@@ -51,7 +51,9 @@ pub use extra_estimators::{absolute_moments, variance_of_residuals};
 pub use periodogram_est::periodogram_hurst;
 pub use rs::rescaled_range;
 pub use suite::HurstSuite;
-pub use variance_time::{variance_time, variance_time_detailed, VarianceTimeFit, VT_CI_INFLATION};
+pub use variance_time::{
+    variance_time, variance_time_detailed, variance_time_sparse, VarianceTimeFit, VT_CI_INFLATION,
+};
 pub use whittle::{fgn_spectral_density, whittle};
 
 pub use webpuzzle_stats::StatsError;

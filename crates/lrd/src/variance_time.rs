@@ -98,19 +98,162 @@ pub fn variance_time(data: &[f64]) -> Result<HurstEstimate> {
 /// # }
 /// ```
 pub fn variance_time_detailed(data: &[f64]) -> Result<VarianceTimeFit> {
-    if data.len() < 256 {
-        return Err(StatsError::InsufficientData {
-            needed: 256,
-            got: data.len(),
+    fit_levels(data.len(), |m| {
+        let agg = aggregate(data, m)?;
+        let mean = agg.iter().sum::<f64>() / agg.len() as f64;
+        Ok(agg.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / agg.len() as f64)
+    })
+}
+
+/// [`variance_time_detailed`] over a count series given sparsely: the
+/// series has `n_bins` bins and bin `b` holds the number of times `b`
+/// occurs in `bins`. The result is bit-identical to the dense call on
+/// the materialized count vector, at a cost of O(distinct bins) per
+/// aggregation level rather than O(`n_bins`).
+///
+/// Every block value is `count as f64 * (1.0 / m as f64)`, exactly what
+/// the dense aggregation yields for integer counts; the mean sums the
+/// occupied blocks only (empty blocks would add ±0), and the variance
+/// adds each empty block's `(0 − mean)²` in block order, because float
+/// addition does not reassociate — a run of empty blocks is replayed
+/// exactly by `add_repeated`, not approximated by a product.
+///
+/// # Errors
+///
+/// Same conditions as [`variance_time`] on an `n_bins`-point series,
+/// plus [`StatsError::InvalidParameter`] when `bins` is not
+/// nondecreasing or holds an index `>= n_bins`.
+///
+/// # Examples
+///
+/// ```
+/// use webpuzzle_lrd::{variance_time_detailed, variance_time_sparse};
+///
+/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
+/// let bins: Vec<usize> = (0..3_000).map(|i| (i * i) % 997).collect();
+/// let mut sorted = bins.clone();
+/// sorted.sort_unstable();
+/// let mut dense = vec![0.0; 997];
+/// for &b in &sorted {
+///     dense[b] += 1.0;
+/// }
+/// let sparse = variance_time_sparse(&sorted, 997)?;
+/// assert_eq!(sparse, variance_time_detailed(&dense)?);
+/// # Ok(())
+/// # }
+/// ```
+pub fn variance_time_sparse(bins: &[usize], n_bins: usize) -> Result<VarianceTimeFit> {
+    if let Some(i) = bins.windows(2).position(|w| w[0] > w[1]) {
+        return Err(StatsError::InvalidParameter {
+            name: "bins",
+            value: bins[i + 1] as f64,
+            constraint: "must be nondecreasing",
         });
     }
-    let levels = aggregation_levels(data.len(), 64);
+    if let Some(&last) = bins.last().filter(|&&b| b >= n_bins) {
+        return Err(StatsError::InvalidParameter {
+            name: "bins",
+            value: last as f64,
+            constraint: "must be < n_bins",
+        });
+    }
+    // Run-length encode once: (bin, arrivals in it), ascending.
+    let mut runs: Vec<(usize, u64)> = Vec::new();
+    for &b in bins {
+        match runs.last_mut() {
+            Some((last, c)) if *last == b => *c += 1,
+            _ => runs.push((b, 1)),
+        }
+    }
+    let mut occupied: Vec<(usize, f64)> = Vec::new();
+    fit_levels(n_bins, |m| {
+        let blocks = n_bins / m;
+        let limit = blocks * m;
+        let inv = 1.0 / m as f64;
+        // Step block boundaries over the runs; bins past the last whole
+        // block are dropped, as the dense aggregation drops them.
+        occupied.clear();
+        let mut block = 0;
+        let mut end = 0;
+        let mut count = 0u64;
+        for &(b, c) in runs.iter().take_while(|&&(b, _)| b < limit) {
+            if b >= end {
+                if count > 0 {
+                    occupied.push((block, count as f64 * inv));
+                }
+                block = b / m;
+                end = (block + 1) * m;
+                count = 0;
+            }
+            count += c;
+        }
+        if count > 0 {
+            occupied.push((block, count as f64 * inv));
+        }
+        let mean = occupied.iter().map(|&(_, x)| x).sum::<f64>() / blocks as f64;
+        let empty = (0.0 - mean) * (0.0 - mean);
+        let mut sum = 0.0;
+        let mut next = 0;
+        for &(k, x) in &occupied {
+            sum = add_repeated(sum, empty, k - next);
+            sum += (x - mean) * (x - mean);
+            next = k + 1;
+        }
+        Ok(add_repeated(sum, empty, blocks - next) / blocks as f64)
+    })
+}
+
+/// `acc` after `times` sequential `acc += term` steps, bit-identical
+/// to the loop. While `acc` stays inside one binade (one ulp), each
+/// addition rounds `term` to the same multiple of the ulp, so a run of
+/// them is a single exact multiply-add; a rounding tie, a binade
+/// crossing, a subnormal `acc` or a nonpositive `term` takes one plain
+/// step instead. The cost is O(binades crossed), not O(`times`).
+fn add_repeated(mut acc: f64, term: f64, mut times: usize) -> f64 {
+    while times > 0 {
+        let next = acc + term;
+        if next == acc {
+            return acc; // absorbed, and so is every later addition
+        }
+        times -= 1;
+        // A normal acc ∈ [low, end) has ulp `low · 2⁻⁵²`.
+        let low = f64::from_bits(acc.to_bits() & 0x7ff0_0000_0000_0000);
+        let (ulp, end) = (low * f64::EPSILON, 2.0 * low);
+        let step = next - acc;
+        if acc >= f64::MIN_POSITIVE && term > 0.0 && next <= end && 2.0 * (term - step).abs() < ulp
+        {
+            // From any x on this ulp grid with x + step ≤ end, the
+            // nearest float to x + term is x + step: repeat it as long
+            // as that holds. Both operands are whole ulps below 2⁵³, so
+            // the truncated quotient is the exact integer one.
+            let bulk = times.min(((end - next) / step) as usize);
+            acc = next + bulk as f64 * step;
+            times -= bulk;
+        } else {
+            acc = next;
+        }
+    }
+    acc
+}
+
+/// The shared body of the variance-time fits: length check, level
+/// grid, `var > 0` filter, OLS, bias-correction loop and CI. `level_var`
+/// returns the variance of the `m`-aggregated `n`-point series.
+fn fit_levels(
+    n: usize,
+    mut level_var: impl FnMut(usize) -> Result<f64>,
+) -> Result<VarianceTimeFit> {
+    if n < 256 {
+        return Err(StatsError::InsufficientData {
+            needed: 256,
+            got: n,
+        });
+    }
+    let levels = aggregation_levels(n, 64);
     let mut log_m = Vec::with_capacity(levels.len());
     let mut log_var = Vec::with_capacity(levels.len());
     for &m in &levels {
-        let agg = aggregate(data, m)?;
-        let mean = agg.iter().sum::<f64>() / agg.len() as f64;
-        let var = agg.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / agg.len() as f64;
+        let var = level_var(m)?;
         if var > 0.0 {
             log_m.push((m as f64).ln());
             log_var.push(var.ln());
@@ -132,7 +275,7 @@ pub fn variance_time_detailed(data: &[f64]) -> Result<VarianceTimeFit> {
     // (−0.026 at H = 0.85 over 14 400-point windows). Dividing each s²_m
     // by its own attenuation factor needs H, so iterate: fit, correct
     // with the current Ĥ, refit, until the estimate settles.
-    let n = data.len() as f64;
+    let n = n as f64;
     for _ in 0..8 {
         let exponent = 2.0 - 2.0 * h;
         let corrected: Vec<f64> = log_m
@@ -254,6 +397,114 @@ mod tests {
             }
             assert!(covered >= 190, "H={h}: coverage {covered}/{runs} < 95%");
         }
+    }
+
+    /// Materialize sparse bin indices as the dense count series.
+    fn dense_counts(bins: &[usize], n_bins: usize) -> Vec<f64> {
+        let mut dense = vec![0.0; n_bins];
+        for &b in bins {
+            dense[b] += 1.0;
+        }
+        dense
+    }
+
+    fn assert_sparse_matches_dense(bins: &[usize], n_bins: usize) {
+        let dense = variance_time_detailed(&dense_counts(bins, n_bins));
+        let sparse = variance_time_sparse(bins, n_bins);
+        match (dense, sparse) {
+            (Ok(d), Ok(s)) => {
+                assert_eq!(d.estimate.h.to_bits(), s.estimate.h.to_bits());
+                assert_eq!(d.h_ci_half_width.to_bits(), s.h_ci_half_width.to_bits());
+                assert_eq!(d.fit.r_squared.to_bits(), s.fit.r_squared.to_bits());
+                assert_eq!(d, s);
+            }
+            (Err(d), Err(s)) => assert_eq!(format!("{d}"), format!("{s}")),
+            (d, s) => panic!("dense {d:?} vs sparse {s:?}"),
+        }
+    }
+
+    #[test]
+    fn sparse_fit_is_bit_identical_to_dense() {
+        // Uneven occupancy: mostly-empty bins with clustered bursts, a
+        // trailing partial block at most levels (n_bins not a power of
+        // the level grid), and events in the last bin.
+        let n_bins = 20_011;
+        let mut bins: Vec<usize> = (0..4_000usize)
+            .map(|i| (i.wrapping_mul(2_654_435_761) >> 7) % n_bins)
+            .collect();
+        bins.extend((0..500).map(|i| 7_000 + i % 13));
+        bins.extend([n_bins - 1; 9]);
+        bins.sort_unstable();
+        assert_sparse_matches_dense(&bins, n_bins);
+        // Dense occupancy (every bin hit at least once).
+        let mut full: Vec<usize> = (0..1_024).flat_map(|b| [b, b]).chain([5, 5]).collect();
+        full.sort_unstable();
+        assert_sparse_matches_dense(&full, 1_024);
+    }
+
+    #[test]
+    fn repeated_addition_matches_the_loop_bit_for_bit() {
+        use rand::rngs::StdRng;
+        use rand::{RngExt, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(91);
+        let mut uniform = || rng.random::<f64>();
+        for cases in 0..20_000 {
+            // Magnitudes from subnormal to large, terms from negligible
+            // to dominant, and exact rounding ties (term = k·ulp/2).
+            let acc = match cases % 5 {
+                0 => 0.0,
+                1 => f64::MIN_POSITIVE * uniform(),
+                _ => 10f64.powf(12.0 * uniform() - 6.0),
+            };
+            let term = match cases % 4 {
+                0 => acc * 10f64.powf(-18.0 * uniform()),
+                1 if acc >= f64::MIN_POSITIVE => {
+                    let ulp = f64::from_bits(acc.to_bits() & 0x7ff0_0000_0000_0000) * f64::EPSILON;
+                    ulp * (0.5 + (uniform() * 8.0).floor())
+                }
+                _ => 10f64.powf(12.0 * uniform() - 6.0),
+            };
+            let times = (uniform() * 3_000.0) as usize;
+            let mut want = acc;
+            for _ in 0..times {
+                want += term;
+            }
+            let got = add_repeated(acc, term, times);
+            assert_eq!(
+                got.to_bits(),
+                want.to_bits(),
+                "acc {acc:e} term {term:e} times {times}: {got:e} vs {want:e}"
+            );
+        }
+        // Binade edges: start one step short of a power of two.
+        for &(acc, term) in &[
+            (1.0 - 2f64.powi(-53), 2f64.powi(-53)),
+            (7.75, 0.125),
+            (1.5, 0.75),
+        ] {
+            let mut want = acc;
+            for i in 1..=64 {
+                want += term;
+                assert_eq!(add_repeated(acc, term, i).to_bits(), want.to_bits());
+            }
+        }
+    }
+
+    #[test]
+    fn sparse_fit_shares_the_dense_errors() {
+        // Too short, empty, and a single event (degenerate at every
+        // level that drops it or sees one nonzero block).
+        assert_sparse_matches_dense(&[3], 255);
+        assert_sparse_matches_dense(&[], 4_096);
+        assert_sparse_matches_dense(&[17], 4_096);
+        assert!(matches!(
+            variance_time_sparse(&[5, 4], 4_096),
+            Err(StatsError::InvalidParameter { .. })
+        ));
+        assert!(matches!(
+            variance_time_sparse(&[4_096], 4_096),
+            Err(StatsError::InvalidParameter { .. })
+        ));
     }
 
     #[test]

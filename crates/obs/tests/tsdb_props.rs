@@ -174,15 +174,27 @@ fn concurrent_scrape_while_sampling_is_consistent() {
     });
     let counter = obs::metrics::counter("props/live");
     let stop = Arc::new(AtomicBool::new(false));
+    // Handshake: the writer announces its first landed sample, so the
+    // reader's 500 queries overlap the sampling instead of racing the
+    // writer thread's start-up.
+    let (first_sample, landed) = std::sync::mpsc::channel();
     let writer = std::thread::spawn({
         let stop = Arc::clone(&stop);
         move || {
+            let mut first_sample = Some(first_sample);
             while !stop.load(Ordering::Relaxed) {
                 counter.add(3);
-                obs::tsdb::sample_now();
+                if obs::tsdb::sample_now().is_some() {
+                    if let Some(tx) = first_sample.take() {
+                        let _ = tx.send(());
+                    }
+                }
             }
         }
     });
+    landed
+        .recv_timeout(Duration::from_secs(30))
+        .expect("the writer took no sample within 30 s");
 
     let mut since = 0u64;
     let mut last_value = 0.0f64;

@@ -59,8 +59,10 @@ pub const MAGIC: [u8; 8] = *b"WPZCKPT\0";
 /// overload-governor state: the sessionizer's TTL scale and
 /// early-eviction count, the engine's degradation mode / sampling /
 /// hard-shed counters and forced-checkpoint flag, and the process
-/// governor's pressure-state code.
-pub const VERSION: u32 = 3;
+/// governor's pressure-state code. Version 4 dropped the dense per-bin
+/// count rings from each [`ArrivalsState`]: window counts are derived
+/// from the carried arrival times at close.
+pub const VERSION: u32 = 4;
 /// Fixed header size: magic + version + payload length + checksum.
 pub const HEADER_LEN: usize = 8 + 4 + 8 + 8;
 
@@ -511,8 +513,6 @@ fn dec_sessionizer(d: &mut Dec) -> DecResult<SessionizerState> {
 }
 
 fn enc_arrivals(e: &mut Enc, a: &ArrivalsState) {
-    e.f64_slice(&a.coarse);
-    e.f64_slice(&a.fine);
     e.f64_slice(&a.times);
     e.u64(a.window_index);
     e.f64(a.last_time);
@@ -521,8 +521,6 @@ fn enc_arrivals(e: &mut Enc, a: &ArrivalsState) {
 
 fn dec_arrivals(d: &mut Dec) -> DecResult<ArrivalsState> {
     Ok(ArrivalsState {
-        coarse: d.f64_vec()?,
-        fine: d.f64_vec()?,
         times: d.f64_vec()?,
         window_index: d.u64()?,
         last_time: d.f64()?,
@@ -1206,6 +1204,14 @@ mod tests {
         assert!(matches!(
             Checkpoint::decode(&version),
             Err(CheckpointError::UnsupportedVersion(99))
+        ));
+
+        // Version 3 carried dense count rings; no migration, refused.
+        let mut v3 = bytes.clone();
+        v3[8..12].copy_from_slice(&3u32.to_le_bytes());
+        assert!(matches!(
+            Checkpoint::decode(&v3),
+            Err(CheckpointError::UnsupportedVersion(3))
         ));
 
         assert!(matches!(

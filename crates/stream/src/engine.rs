@@ -49,8 +49,8 @@ pub struct StreamConfig {
     pub session_threshold: f64,
     /// Windowing of the request arrival process.
     pub request_window: WindowConfig,
-    /// Windowing of the session arrival process (fine ring is pointless
-    /// at session rates, so it defaults to off here).
+    /// Windowing of the session arrival process (a 10-ms reading is
+    /// pointless at session rates, so it defaults to off here).
     pub session_window: WindowConfig,
     /// Order statistics retained per tail metric. Memory is
     /// `O(tail_k)`; when `tail_k` exceeds `⌊tail_fraction·n⌋` the Hill
@@ -182,9 +182,9 @@ pub struct StreamSummary {
 pub struct EngineState {
     /// TTL sessionizer state (open sessions, watermark, counts).
     pub sessionizer: SessionizerState,
-    /// Request arrival rings and window cursor.
+    /// Request arrival times of the open window and window cursor.
     pub request_arrivals: ArrivalsState,
-    /// Session arrival rings and window cursor.
+    /// Session arrival times of the open window and window cursor.
     pub session_arrivals: ArrivalsState,
     /// Closed request-window reports so far.
     pub request_windows: Vec<WindowReport>,

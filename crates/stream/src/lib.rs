@@ -19,9 +19,10 @@
 //!   [`LogHistogram`] (reusing the obs log-bucket histogram),
 //!   [`TopK`] order statistics feeding an incremental Hill tail-index
 //!   estimate.
-//! * [`window`] — [`WindowedArrivals`]: per-second / per-10-ms ring
-//!   counts over fixed analysis windows, feeding the existing
-//!   variance-time estimator and §4.2 Poisson battery window by window.
+//! * [`window`] — [`WindowedArrivals`]: the arrival times of fixed
+//!   analysis windows, binned sparsely at 1 s and 10 ms at window close
+//!   for the variance-time estimator, plus the §4.2 Poisson battery,
+//!   window by window.
 //! * [`observatory`] — [`DriftObservatory`]: online change-point
 //!   detection (CUSUM, Page–Hinkley, EWMA control bands) over the
 //!   per-window estimates, publishing typed drift events to the

@@ -1,29 +1,31 @@
-//! Windowed arrival analysis: bounded rings of per-second / per-10-ms
-//! counts that feed the existing variance-time estimator and §4.2
-//! Poisson battery, window by window.
+//! Windowed arrival analysis: the variance-time estimator at 1 s and
+//! 10 ms and the §4.2 Poisson battery, window by window.
 //!
 //! The batch pipeline bins a whole week of arrivals at once; here a
-//! fixed analysis window (default: the paper's 4-hour interval) is
-//! accumulated in two count rings plus the raw arrival times of the
-//! *current window only*, and when the stream crosses a window
-//! boundary the completed window is analyzed and the rings recycle.
-//! Memory is `O(window bins + window arrivals)` — nothing outlives its
-//! window except the small [`WindowReport`] per window.
+//! fixed analysis window (default: the paper's 4-hour interval) keeps
+//! only the raw arrival times of the *current window*. When the stream
+//! crosses a window boundary the completed window's times are binned
+//! on the fly and both variance-time fits run sparsely
+//! ([`variance_time_sparse`]), bit-identical to fits over dense count
+//! series but without materializing them: a 4-hour window at 10 ms is
+//! 1.44M bins, almost all empty. Memory is `O(window arrivals)` —
+//! nothing outlives its window except the small [`WindowReport`] per
+//! window.
 
 use crate::Result;
 use serde::{Deserialize, Serialize};
 use webpuzzle_core::{poisson_arrival_test, PoissonVerdict, TieSpreading};
-use webpuzzle_lrd::variance_time_detailed;
+use webpuzzle_lrd::{variance_time_sparse, VarianceTimeFit};
 
 /// Configuration of the per-window analysis.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct WindowConfig {
     /// Window length in seconds (paper: 4-hour intervals).
     pub window_len: f64,
-    /// Coarse ring bin width, seconds (paper: 1 s arrival counts).
+    /// Coarse bin width, seconds (paper: 1 s arrival counts).
     pub bin_width: f64,
-    /// Optional fine ring bin width, seconds (default 10 ms) for a
-    /// sub-second variance-time reading; `None` disables the fine ring.
+    /// Optional fine bin width, seconds (default 10 ms) for a
+    /// sub-second variance-time reading; `None` disables it.
     pub fine_bin_width: Option<f64>,
     /// Minimum arrivals per Poisson subinterval; below it the window
     /// verdict is NA (the paper's NASA-Pub2 situation).
@@ -54,18 +56,18 @@ pub struct WindowReport {
     pub start: f64,
     /// Arrivals in the window.
     pub events: u64,
-    /// Variance-time Hurst estimate over the coarse (per-second) ring;
+    /// Variance-time Hurst estimate over the coarse (per-second) counts;
     /// `None` when the window is too quiet for the estimator.
     pub h_variance_time: Option<f64>,
     /// Half-width of the 95% CI on `h_variance_time` (t-based, from
     /// the OLS residuals, inflated per `webpuzzle_lrd::VT_CI_INFLATION`).
     pub h_ci_half_width: Option<f64>,
-    /// R² of the coarse-ring variance-time regression.
+    /// R² of the coarse variance-time regression.
     pub h_r_squared: Option<f64>,
-    /// Aggregation levels used by the coarse-ring fit (0 when the
+    /// Aggregation levels used by the coarse fit (0 when the
     /// estimator did not run).
     pub h_points: u64,
-    /// Variance-time Hurst estimate over the fine (per-10-ms) ring.
+    /// Variance-time Hurst estimate over the fine (per-10-ms) counts.
     pub h_variance_time_fine: Option<f64>,
     /// §4.2 Poisson verdict at hourly subinterval rates.
     pub poisson_hourly: PoissonVerdict,
@@ -74,15 +76,11 @@ pub struct WindowReport {
 }
 
 /// Complete mutable state of a [`WindowedArrivals`] accumulator, for
-/// checkpointing. Ring contents are carried verbatim: counts are exact
-/// and the raw arrival times of the current (partial) window are what
-/// the Poisson battery will need when the window eventually closes.
+/// checkpointing. The raw arrival times of the current (partial)
+/// window are all that its closing analysis needs: both variance-time
+/// fits and the Poisson battery derive from them.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ArrivalsState {
-    /// Coarse-ring per-bin counts.
-    pub coarse: Vec<f64>,
-    /// Fine-ring per-bin counts (empty when the fine ring is disabled).
-    pub fine: Vec<f64>,
     /// Raw arrival times of the current window.
     pub times: Vec<f64>,
     /// Index of the current (open) window.
@@ -104,8 +102,6 @@ pub struct ArrivalsState {
 #[derive(Debug)]
 pub struct WindowedArrivals {
     cfg: WindowConfig,
-    coarse: Vec<f64>,
-    fine: Vec<f64>,
     times: Vec<f64>,
     window_index: u64,
     last_time: f64,
@@ -115,15 +111,8 @@ pub struct WindowedArrivals {
 impl WindowedArrivals {
     /// Create an accumulator with the given window configuration.
     pub fn new(cfg: WindowConfig) -> Self {
-        let coarse_bins = (cfg.window_len / cfg.bin_width).ceil().max(1.0) as usize;
-        let fine_bins = cfg
-            .fine_bin_width
-            .map(|w| (cfg.window_len / w).ceil().max(1.0) as usize)
-            .unwrap_or(0);
         WindowedArrivals {
             cfg,
-            coarse: vec![0.0; coarse_bins],
-            fine: vec![0.0; fine_bins],
             times: Vec::new(),
             window_index: 0,
             last_time: f64::NEG_INFINITY,
@@ -148,14 +137,7 @@ impl WindowedArrivals {
             out.push(report);
         }
         let start = self.window_index as f64 * self.cfg.window_len;
-        let offset = t - start;
-        if offset >= 0.0 {
-            let c = ((offset / self.cfg.bin_width) as usize).min(self.coarse.len() - 1);
-            self.coarse[c] += 1.0;
-            if let Some(w) = self.cfg.fine_bin_width {
-                let f = ((offset / w) as usize).min(self.fine.len().saturating_sub(1));
-                self.fine[f] += 1.0;
-            }
+        if t >= start {
             self.times.push(t);
             self.total_events += 1;
         }
@@ -192,16 +174,16 @@ impl WindowedArrivals {
         self.total_events
     }
 
-    /// Memory footprint of the rings, in bins (diagnostic).
+    /// Count bins held resident between arrivals (diagnostic). Always
+    /// 0: counts are derived from the window's arrival times at close,
+    /// so memory is `O(window arrivals)`, not `O(window bins)`.
     pub fn ring_bins(&self) -> usize {
-        self.coarse.len() + self.fine.len()
+        0
     }
 
     /// Export the accumulator's mutable state for checkpointing.
     pub fn export_state(&self) -> ArrivalsState {
         ArrivalsState {
-            coarse: self.coarse.clone(),
-            fine: self.fine.clone(),
             times: self.times.clone(),
             window_index: self.window_index,
             last_time: self.last_time,
@@ -210,23 +192,14 @@ impl WindowedArrivals {
     }
 
     /// Rebuild an accumulator from a configuration plus exported state.
-    /// Ring sizing comes from `cfg`; exported rings are carried over
-    /// verbatim when their lengths agree and are otherwise clamped to
-    /// the configured sizes (a config/state mismatch is a caller bug,
-    /// but restore degrades to a ring reset instead of panicking).
     pub fn restore(cfg: WindowConfig, state: ArrivalsState) -> Self {
-        let mut w = WindowedArrivals::new(cfg);
-        if state.coarse.len() == w.coarse.len() {
-            w.coarse = state.coarse;
+        WindowedArrivals {
+            cfg,
+            times: state.times,
+            window_index: state.window_index,
+            last_time: state.last_time,
+            total_events: state.total_events,
         }
-        if state.fine.len() == w.fine.len() {
-            w.fine = state.fine;
-        }
-        w.times = state.times;
-        w.window_index = state.window_index;
-        w.last_time = state.last_time;
-        w.total_events = state.total_events;
-        w
     }
 
     fn close_window(&mut self) -> Result<WindowReport> {
@@ -234,18 +207,16 @@ impl WindowedArrivals {
         let start = self.window_index as f64 * self.cfg.window_len;
         let events = self.times.len() as u64;
 
-        let vt = variance_time_detailed(&self.coarse).ok();
+        let vt = self.variance_time(start, self.cfg.bin_width);
         let h_variance_time = vt.as_ref().map(|d| d.estimate.h);
         let h_ci_half_width = vt.as_ref().map(|d| d.h_ci_half_width);
         let h_r_squared = vt.as_ref().map(|d| d.fit.r_squared);
         let h_points = vt.as_ref().map_or(0, |d| d.points as u64);
-        let h_variance_time_fine = if self.fine.is_empty() {
-            None
-        } else {
-            variance_time_detailed(&self.fine)
-                .ok()
-                .map(|d| d.estimate.h)
-        };
+        let h_variance_time_fine = self
+            .cfg
+            .fine_bin_width
+            .and_then(|w| self.variance_time(start, w))
+            .map(|d| d.estimate.h);
 
         let subs_hourly = ((self.cfg.window_len / 3_600.0).round() as usize).max(2);
         let subs_ten_min = ((self.cfg.window_len / 600.0).round() as usize).max(2);
@@ -265,11 +236,23 @@ impl WindowedArrivals {
             poisson_ten_min,
         };
 
-        self.coarse.fill(0.0);
-        self.fine.fill(0.0);
         self.times.clear();
         self.window_index += 1;
         Ok(report)
+    }
+
+    /// Variance-time fit of the window's counts in bins of width `w`
+    /// (`None` when the window is too quiet for the estimator). An
+    /// arrival at offset `t − start` lands in bin `⌊(t − start)/w⌋`,
+    /// clamped into the last bin.
+    fn variance_time(&self, start: f64, w: f64) -> Option<VarianceTimeFit> {
+        let n = (self.cfg.window_len / w).ceil().max(1.0) as usize;
+        let bins: Vec<usize> = self
+            .times
+            .iter()
+            .map(|&t| (((t - start) / w) as usize).min(n - 1))
+            .collect();
+        variance_time_sparse(&bins, n).ok()
     }
 
     fn poisson_verdict(&self, start: f64, subintervals: usize) -> Result<PoissonVerdict> {
@@ -362,7 +345,7 @@ mod tests {
         let mut w = WindowedArrivals::new(cfg(600.0));
         let mut out = Vec::new();
         w.push(5.0, &mut out).unwrap();
-        // Jump two windows ahead: window 1 closes empty (all-zero ring
+        // Jump two windows ahead: window 1 closes empty (all-zero counts
         // → degenerate variance-time input).
         w.push(1_300.0, &mut out).unwrap();
         assert_eq!(out[1].events, 0);
@@ -426,12 +409,17 @@ mod tests {
             seed: 0,
         });
         let mut out = Vec::new();
-        for t in poisson_times(5.0, 1_200.0, 9) {
+        let times = poisson_times(5.0, 1_200.0, 9);
+        for &t in &times {
             w.push(t, &mut out).unwrap();
         }
+        // Memory contract: no count bins are resident; the open window
+        // holds exactly its own arrival times.
+        assert_eq!(w.ring_bins(), 0);
+        let open = times.iter().filter(|&&t| t >= 600.0).count();
+        assert_eq!(w.export_state().times.len(), open);
         w.finish(&mut out).unwrap();
         assert_eq!(out.len(), 2);
         assert!(out[0].h_variance_time_fine.is_some());
-        assert_eq!(w.ring_bins(), 600 + 6_000);
     }
 }
