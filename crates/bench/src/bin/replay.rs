@@ -1,5 +1,5 @@
-//! Wire replay: push an access log at a running `stream-serve` the way
-//! live senders would.
+//! Wire replay: push an access log at a running `stream-analyze
+//! --listen` (or `stream-serve`) the way live senders would.
 //!
 //! ```text
 //! replay FILE --addr HOST:PORT [--connections N] [--speed X]

@@ -1,882 +1,7 @@
-//! Live ingestion daemon: the network-facing counterpart to
-//! `stream-analyze`.
-//!
-//! Where `stream-analyze` pulls one file (or stdin) through the
-//! streaming engine, `stream-serve` binds a TCP listener, accepts
-//! concurrent log sources — the newline-delimited CLF line protocol
-//! and HTTP `POST /ingest` batches — merges them into one time-ordered
-//! stream by per-source watermark (DESIGN.md §14), and feeds that
-//! stream to the same `StreamAnalyzer` under the same crash-safe
-//! supervisor. Checkpoints, resume, drift alarms, telemetry and
-//! estimator diagnostics all work exactly as they do on file input.
-//!
-//! ```text
-//! stream-serve [--listen HOST:PORT] [--addr-file PATH]
-//!              [--telemetry-addr HOST:PORT]
-//!              [--base-epoch SECS] [--threshold SECS] [--window SECS]
-//!              [--tail-k N] [--strict] [--quiet] [--json] [--report PATH]
-//!              [--events PATH] [--alert-on info|warn|critical]
-//!              [--seasonal-period WINDOWS] [--diagnostics]
-//!              [--checkpoint PATH] [--checkpoint-every N]
-//!              [--checkpoint-every-secs S] [--resume PATH]
-//!              [--reorder-window SECS] [--queue-capacity N]
-//!              [--max-connections N] [--max-sources N]
-//!              [--exit-after-sources N] [--stall-grace-ms MS]
-//!              [--max-line-bytes N] [--batch-records N]
-//!              [--inject-faults SPEC] [--max-restores N] [--max-retries N]
-//!              [--telemetry-history] [--telemetry-interval-ms MS]
-//!              [--slo] [--slo-file PATH]
-//!              [--governor-sessions N] [--governor-queue-bytes N]
-//!              [--governor-memory-mb MB] [--watchdog-stall-secs S]
-//! ```
-//!
-//! `--listen` defaults to `127.0.0.1:0` (ephemeral port); the bound
-//! address always prints to stderr, and `--addr-file PATH` additionally
-//! writes it to a file so scripted clients (the CI equivalence gate,
-//! the integration tests) can find the port without parsing logs.
-//!
-//! Lenient parsing is the *default* on the wire — one peer's bad line
-//! must not kill a shared service; `--strict` flips a connection's
-//! first malformed line into closing that connection (counted, with a
-//! warning). Every shed is counted, nothing is dropped silently:
-//! oversized lines, torn final lines, late records outside the reorder
-//! window, resume duplicates below the admit floor — each has its own
-//! `ingest/*` counter on `/metrics`, next to per-source queue-depth and
-//! watermark-lag gauges.
-//!
-//! The run ends when the merged stream ends: after `--exit-after-sources
-//! N` sources have connected and all of them closed (the deterministic
-//! shape the tests and the CI gate use), or never — a daemon without
-//! that flag runs until killed, which is where `--checkpoint` +
-//! `--resume` come in. On resume the checkpoint's sessionizer watermark
-//! becomes the hub's admit floor: senders simply replay from the start
-//! of their logs and every record at or below the watermark is counted
-//! as a duplicate and dropped, making wire replay idempotent.
-//!
-//! `--telemetry-history` samples the metrics registry into the
-//! in-process time-series store (DESIGN.md §15), served as
-//! `/timeseries` under `--telemetry-addr`; `--slo` additionally
-//! evaluates burn-rate objectives from `slo.toml` (`--slo-file PATH`
-//! overrides), publishes `slo/*` events (which count toward
-//! `--alert-on`), prints a deep-health verdict after the summary, and
-//! embeds it in the run report. `/healthz?deep=1` serves the same
-//! rollup live.
-//!
-//! Any `--governor-*` budget installs the process pressure governor
-//! (DESIGN.md §16): occupancy over budget moves the run through
-//! Green → Yellow → Red, the hub sheds low-priority batches
-//! proportionally, the engine degrades to estimator sampling and a
-//! tightened session TTL, and every shed is counted. The governor's
-//! stage rides in the checkpoint, so a resumed run picks the flood
-//! back up where it left it. `--watchdog-stall-secs` arms the stage
-//! watchdog: records buffered in the hub with no engine progress for
-//! that long publishes a `Critical` watchdog event (which `--alert-on
-//! critical` turns into exit 3).
-//!
-//! SIGTERM/SIGINT request a graceful drain: the hub stops admitting
-//! (late arrivals are counted as shutdown drops), buffered records
-//! flow through the engine, the final checkpoint and run report are
-//! written, and the process exits 0.
-//!
-//! Exit codes mirror `stream-analyze`: 0 clean, 1 runtime error,
-//! 2 usage, 3 drift alarms at or above `--alert-on`, 4 completed but
-//! degraded (recovered/resumed *and* shed sessions).
-
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::time::Duration;
-
-use serde::Serialize;
-use webpuzzle_ingest as ingest;
-use webpuzzle_obs as obs;
-use webpuzzle_stream::{
-    Checkpoint, FaultSource, FaultSpec, SourcePosition, StreamAnalyzer, StreamConfig,
-    StreamSummary, Supervisor, SupervisorConfig, SupervisorReport, WindowConfig,
-};
-use webpuzzle_weblog::{MalformedKind, DEFAULT_SESSION_THRESHOLD};
-
-/// 2004-01-12 00:00:00 UTC, the paper's WVU log start (genlog default).
-const DEFAULT_BASE_EPOCH: i64 = 1_073_865_600;
-
-static QUIET: AtomicBool = AtomicBool::new(false);
-
-macro_rules! say {
-    ($($arg:tt)*) => {
-        if !QUIET.load(Ordering::Relaxed) {
-            println!($($arg)*);
-        }
-    };
-}
-
-struct Args {
-    listen: String,
-    addr_file: Option<std::path::PathBuf>,
-    telemetry_addr: Option<String>,
-    base_epoch: i64,
-    threshold: f64,
-    window_len: f64,
-    tail_k: usize,
-    strict: bool,
-    quiet: bool,
-    json: bool,
-    report_path: std::path::PathBuf,
-    events_path: Option<std::path::PathBuf>,
-    alert_on: Option<obs::events::Severity>,
-    seasonal_period: Option<u64>,
-    diagnostics: bool,
-    checkpoint: Option<std::path::PathBuf>,
-    checkpoint_every: u64,
-    checkpoint_every_secs: u64,
-    resume: Option<std::path::PathBuf>,
-    reorder_window: f64,
-    queue_capacity: usize,
-    max_connections: usize,
-    max_sources: usize,
-    exit_after_sources: Option<u64>,
-    stall_grace_ms: u64,
-    max_line_bytes: usize,
-    batch_records: usize,
-    inject_faults: Option<FaultSpec>,
-    max_restores: u32,
-    max_retries: u32,
-    telemetry_history: bool,
-    telemetry_interval_ms: u64,
-    slo: bool,
-    slo_file: std::path::PathBuf,
-    governor_sessions: u64,
-    governor_queue_bytes: u64,
-    governor_memory_bytes: u64,
-    watchdog_stall_secs: u64,
-}
-
-fn usage() -> ! {
-    eprintln!(
-        "usage: stream-serve [--listen HOST:PORT] [--addr-file PATH] \
-         [--telemetry-addr HOST:PORT] [--base-epoch SECS] [--threshold SECS] \
-         [--window SECS] [--tail-k N] [--strict] [--quiet] [--json] \
-         [--report PATH] [--events PATH] [--alert-on info|warn|critical] \
-         [--seasonal-period WINDOWS] [--diagnostics] [--checkpoint PATH] \
-         [--checkpoint-every N] [--checkpoint-every-secs S] [--resume PATH] \
-         [--reorder-window SECS] [--queue-capacity N] [--max-connections N] \
-         [--max-sources N] [--exit-after-sources N] [--stall-grace-ms MS] \
-         [--max-line-bytes N] [--batch-records N] [--inject-faults SPEC] \
-         [--max-restores N] [--max-retries N] [--telemetry-history] \
-         [--telemetry-interval-ms MS] [--slo] [--slo-file PATH] \
-         [--governor-sessions N] [--governor-queue-bytes N] \
-         [--governor-memory-mb MB] [--watchdog-stall-secs S]"
-    );
-    std::process::exit(2);
-}
-
-fn parse_args() -> Args {
-    let mut parsed = Args {
-        listen: "127.0.0.1:0".to_string(),
-        addr_file: None,
-        telemetry_addr: None,
-        base_epoch: DEFAULT_BASE_EPOCH,
-        threshold: DEFAULT_SESSION_THRESHOLD,
-        window_len: WindowConfig::default().window_len,
-        tail_k: StreamConfig::default().tail_k,
-        strict: false,
-        quiet: false,
-        json: false,
-        report_path: std::path::PathBuf::from("report.json"),
-        events_path: None,
-        alert_on: None,
-        seasonal_period: None,
-        diagnostics: false,
-        checkpoint: None,
-        checkpoint_every: 0,
-        checkpoint_every_secs: 0,
-        resume: None,
-        reorder_window: 0.0,
-        queue_capacity: ingest::HubConfig::default().queue_capacity,
-        max_connections: 64,
-        max_sources: ingest::HubConfig::default().max_sources,
-        exit_after_sources: None,
-        stall_grace_ms: 5_000,
-        max_line_bytes: ingest::ConnConfig::default().max_line_bytes,
-        batch_records: ingest::ConnConfig::default().batch_records,
-        inject_faults: None,
-        max_restores: 3,
-        max_retries: 5,
-        telemetry_history: false,
-        telemetry_interval_ms: 1_000,
-        slo: false,
-        slo_file: std::path::PathBuf::from("slo.toml"),
-        governor_sessions: 0,
-        governor_queue_bytes: 0,
-        governor_memory_bytes: 0,
-        watchdog_stall_secs: 0,
-    };
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        let mut value = |name: &str| {
-            args.next()
-                .unwrap_or_else(|| panic!("{name} needs a value"))
-        };
-        match a.as_str() {
-            "--listen" => parsed.listen = value("--listen"),
-            "--addr-file" => parsed.addr_file = Some(value("--addr-file").into()),
-            "--telemetry-addr" => parsed.telemetry_addr = Some(value("--telemetry-addr")),
-            "--base-epoch" => {
-                parsed.base_epoch = value("--base-epoch")
-                    .parse()
-                    .expect("--base-epoch: integer")
-            }
-            "--threshold" => {
-                parsed.threshold = value("--threshold").parse().expect("--threshold: seconds")
-            }
-            "--window" => parsed.window_len = value("--window").parse().expect("--window: seconds"),
-            "--tail-k" => parsed.tail_k = value("--tail-k").parse().expect("--tail-k: integer"),
-            "--strict" => parsed.strict = true,
-            "--quiet" => parsed.quiet = true,
-            "--json" => parsed.json = true,
-            "--report" => parsed.report_path = value("--report").into(),
-            "--events" => parsed.events_path = Some(value("--events").into()),
-            "--alert-on" => {
-                let token = value("--alert-on");
-                parsed.alert_on = Some(obs::events::Severity::parse(&token).unwrap_or_else(|| {
-                    eprintln!("stream-serve: bad --alert-on {token} (info|warn|critical)");
-                    std::process::exit(2);
-                }))
-            }
-            "--seasonal-period" => {
-                parsed.seasonal_period = Some(
-                    value("--seasonal-period")
-                        .parse()
-                        .expect("--seasonal-period: windows"),
-                )
-            }
-            "--diagnostics" => parsed.diagnostics = true,
-            "--checkpoint" => parsed.checkpoint = Some(value("--checkpoint").into()),
-            "--checkpoint-every" => {
-                parsed.checkpoint_every = value("--checkpoint-every")
-                    .parse()
-                    .expect("--checkpoint-every: record count")
-            }
-            "--checkpoint-every-secs" => {
-                parsed.checkpoint_every_secs = value("--checkpoint-every-secs")
-                    .parse()
-                    .expect("--checkpoint-every-secs: seconds")
-            }
-            "--resume" => parsed.resume = Some(value("--resume").into()),
-            "--reorder-window" => {
-                parsed.reorder_window = value("--reorder-window")
-                    .parse()
-                    .expect("--reorder-window: seconds")
-            }
-            "--queue-capacity" => {
-                parsed.queue_capacity = value("--queue-capacity")
-                    .parse()
-                    .expect("--queue-capacity: record count")
-            }
-            "--max-connections" => {
-                parsed.max_connections = value("--max-connections")
-                    .parse()
-                    .expect("--max-connections: integer")
-            }
-            "--max-sources" => {
-                parsed.max_sources = value("--max-sources")
-                    .parse()
-                    .expect("--max-sources: integer")
-            }
-            "--exit-after-sources" => {
-                parsed.exit_after_sources = Some(
-                    value("--exit-after-sources")
-                        .parse()
-                        .expect("--exit-after-sources: integer"),
-                )
-            }
-            "--stall-grace-ms" => {
-                parsed.stall_grace_ms = value("--stall-grace-ms")
-                    .parse()
-                    .expect("--stall-grace-ms: milliseconds")
-            }
-            "--max-line-bytes" => {
-                parsed.max_line_bytes = value("--max-line-bytes")
-                    .parse()
-                    .expect("--max-line-bytes: bytes")
-            }
-            "--batch-records" => {
-                let n: usize = value("--batch-records")
-                    .parse()
-                    .expect("--batch-records: record count");
-                parsed.batch_records = n.max(1);
-            }
-            "--inject-faults" => {
-                let token = value("--inject-faults");
-                parsed.inject_faults = Some(FaultSpec::parse(&token).unwrap_or_else(|e| {
-                    eprintln!("stream-serve: bad --inject-faults spec: {e}");
-                    std::process::exit(2);
-                }))
-            }
-            "--max-restores" => {
-                parsed.max_restores = value("--max-restores")
-                    .parse()
-                    .expect("--max-restores: integer")
-            }
-            "--max-retries" => {
-                parsed.max_retries = value("--max-retries")
-                    .parse()
-                    .expect("--max-retries: integer")
-            }
-            "--telemetry-history" => parsed.telemetry_history = true,
-            "--telemetry-interval-ms" => {
-                let ms: u64 = value("--telemetry-interval-ms")
-                    .parse()
-                    .expect("--telemetry-interval-ms: milliseconds");
-                parsed.telemetry_interval_ms = ms.max(1);
-                parsed.telemetry_history = true;
-            }
-            "--slo" => parsed.slo = true,
-            "--slo-file" => {
-                parsed.slo_file = value("--slo-file").into();
-                parsed.slo = true;
-            }
-            "--governor-sessions" => {
-                parsed.governor_sessions = value("--governor-sessions")
-                    .parse()
-                    .expect("--governor-sessions: open-session budget")
-            }
-            "--governor-queue-bytes" => {
-                parsed.governor_queue_bytes = value("--governor-queue-bytes")
-                    .parse()
-                    .expect("--governor-queue-bytes: bytes")
-            }
-            "--governor-memory-mb" => {
-                let mb: u64 = value("--governor-memory-mb")
-                    .parse()
-                    .expect("--governor-memory-mb: megabytes");
-                parsed.governor_memory_bytes = mb.saturating_mul(1_000_000);
-            }
-            "--watchdog-stall-secs" => {
-                parsed.watchdog_stall_secs = value("--watchdog-stall-secs")
-                    .parse()
-                    .expect("--watchdog-stall-secs: seconds")
-            }
-            _ => usage(),
-        }
-    }
-    parsed
-}
-
-fn stream_config(args: &Args) -> StreamConfig {
-    StreamConfig {
-        session_threshold: args.threshold,
-        request_window: WindowConfig {
-            window_len: args.window_len,
-            ..WindowConfig::default()
-        },
-        session_window: WindowConfig {
-            window_len: args.window_len,
-            fine_bin_width: None,
-            ..WindowConfig::default()
-        },
-        tail_k: args.tail_k,
-        observatory: webpuzzle_stream::ObservatoryConfig {
-            seasonal_period: args.seasonal_period,
-            ..webpuzzle_stream::ObservatoryConfig::default()
-        },
-        diagnostics: args.diagnostics,
-        ..StreamConfig::default()
-    }
-}
-
-fn config_value(
-    args: &Args,
-    summary: Option<&StreamSummary>,
-    ingest_stats: Option<&ingest::HubStats>,
-) -> serde::Value {
-    let mut fields = vec![
-        ("base_epoch".to_string(), args.base_epoch.to_value()),
-        ("threshold".to_string(), args.threshold.to_value()),
-        ("window_len".to_string(), args.window_len.to_value()),
-        ("tail_k".to_string(), (args.tail_k as u64).to_value()),
-        ("lenient".to_string(), (!args.strict).to_value()),
-        ("reorder_window".to_string(), args.reorder_window.to_value()),
-        (
-            "queue_capacity".to_string(),
-            (args.queue_capacity as u64).to_value(),
-        ),
-        ("diagnostics".to_string(), args.diagnostics.to_value()),
-        (
-            "records".to_string(),
-            summary.map(|s| s.records).unwrap_or(0).to_value(),
-        ),
-        ("partial".to_string(), summary.is_none().to_value()),
-    ];
-    if let Some(s) = summary {
-        fields.push(("summary".to_string(), s.to_value()));
-    }
-    if let Some(st) = ingest_stats {
-        fields.push(("ingest".to_string(), ingest_value(st)));
-    }
-    serde::Value::Object(fields)
-}
-
-fn ingest_value(st: &ingest::HubStats) -> serde::Value {
-    serde::Value::Object(vec![
-        ("sources_seen".to_string(), st.sources_seen.to_value()),
-        ("admitted".to_string(), st.admitted.to_value()),
-        ("emitted".to_string(), st.emitted.to_value()),
-        ("late_dropped".to_string(), st.late_dropped.to_value()),
-        (
-            "duplicate_dropped".to_string(),
-            st.duplicate_dropped.to_value(),
-        ),
-        (
-            "stall_late_dropped".to_string(),
-            st.stall_late_dropped.to_value(),
-        ),
-        (
-            "skipped_malformed".to_string(),
-            st.skipped_malformed.to_value(),
-        ),
-        ("oversized_lines".to_string(), st.oversized_lines.to_value()),
-        ("torn_lines".to_string(), st.torn_lines.to_value()),
-        ("pressure_shed".to_string(), st.pressure_shed.to_value()),
-        ("breaker_dropped".to_string(), st.breaker_dropped.to_value()),
-        ("breaker_trips".to_string(), st.breaker_trips.to_value()),
-        (
-            "shutdown_dropped".to_string(),
-            st.shutdown_dropped.to_value(),
-        ),
-        ("bytes_received".to_string(), st.bytes_received.to_value()),
-        ("lines_received".to_string(), st.lines_received.to_value()),
-    ])
-}
+//! `stream-serve`: the live ingestion daemon. It is `stream-analyze`
+//! with `--listen 127.0.0.1:0` as the default source and `stream-serve`
+//! as the tool name in its reports; see `webpuzzle_bench::stream_runtime`.
 
 fn main() {
-    let args = parse_args();
-    QUIET.store(args.quiet, Ordering::Relaxed);
-    if args.quiet {
-        // NullSink is the default: nothing reaches stderr.
-    } else if args.json {
-        obs::set_sink(Box::new(obs::JsonSink));
-    } else {
-        obs::set_sink(Box::new(obs::StderrSink::default()));
-    }
-    obs::reset();
-    obs::shutdown::install();
-    if args.governor_sessions > 0 || args.governor_queue_bytes > 0 || args.governor_memory_bytes > 0
-    {
-        obs::governor::install(obs::governor::GovernorConfig {
-            session_budget: args.governor_sessions,
-            queue_bytes_budget: args.governor_queue_bytes,
-            memory_budget_bytes: args.governor_memory_bytes,
-            ..obs::governor::GovernorConfig::default()
-        });
-        say!(
-            "pressure governor armed: sessions {} / queue bytes {} / memory bytes {}",
-            args.governor_sessions,
-            args.governor_queue_bytes,
-            args.governor_memory_bytes
-        );
-    }
-    if let Some(path) = &args.events_path {
-        let sink = obs::events::JsonlEventSink::create(path).unwrap_or_else(|e| {
-            eprintln!(
-                "stream-serve: cannot open events log {}: {e}",
-                path.display()
-            );
-            std::process::exit(2);
-        });
-        obs::events::set_jsonl_sink(sink);
-    }
-    // SLO objectives must be installed before the sampler starts: its
-    // immediate baseline tick is the burn-rate windows' left edge.
-    let sampler = webpuzzle_bench::start_history_sampler(&webpuzzle_bench::HistoryOptions {
-        enabled: args.telemetry_history,
-        interval_ms: args.telemetry_interval_ms,
-        slo: args.slo,
-        slo_file: args.slo_file.clone(),
-    })
-    .unwrap_or_else(|e| {
-        eprintln!("stream-serve: {e}");
-        std::process::exit(2);
-    });
-
-    // Injected crashes are recovered by the supervisor; keep their
-    // panic backtraces off stderr so drills read like operations.
-    let default_hook = std::panic::take_hook();
-    std::panic::set_hook(Box::new(move |info| {
-        let msg = info
-            .payload()
-            .downcast_ref::<String>()
-            .map(String::as_str)
-            .or_else(|| info.payload().downcast_ref::<&str>().copied());
-        if msg.is_some_and(|m| m.contains("injected crash")) {
-            return;
-        }
-        default_hook(info);
-    }));
-
-    let engine_cfg = stream_config(&args);
-    if let Err(e) = StreamAnalyzer::new(engine_cfg.clone()) {
-        eprintln!("stream-serve: {e}");
-        std::process::exit(2);
-    }
-
-    // A corrupted, truncated, or version-skewed snapshot must be
-    // refused loudly — resuming from bad state would silently poison
-    // every estimate downstream.
-    let resume_ck = args.resume.as_ref().map(|path| {
-        Checkpoint::load(path).unwrap_or_else(|e| {
-            eprintln!("stream-serve: cannot resume from {}: {e}", path.display());
-            std::process::exit(1);
-        })
-    });
-    let resumed = resume_ck.is_some();
-
-    // The wire cannot be re-sought, so resume idempotency comes from
-    // the admit floor instead: everything at or below the checkpoint's
-    // sessionizer watermark is a replay duplicate and is dropped
-    // (counted). Senders just re-send from the start of their logs.
-    let admit_floor = resume_ck
-        .as_ref()
-        .map(|ck| ck.engine.sessionizer.watermark)
-        .unwrap_or(f64::NEG_INFINITY);
-
-    let hub = ingest::IngestHub::new(ingest::HubConfig {
-        reorder_window: args.reorder_window,
-        admit_floor,
-        queue_capacity: args.queue_capacity,
-        max_sources: args.max_sources,
-        expected_sources: args.exit_after_sources,
-        stall_grace: (args.stall_grace_ms > 0).then(|| Duration::from_millis(args.stall_grace_ms)),
-        ..ingest::HubConfig::default()
-    });
-    if let Some(ck) = &resume_ck {
-        hub.set_baseline(ck.source);
-    }
-
-    let conn_cfg = ingest::ConnConfig {
-        base_epoch: args.base_epoch,
-        lenient: !args.strict,
-        max_line_bytes: args.max_line_bytes,
-        batch_records: args.batch_records,
-        ..ingest::ConnConfig::default()
-    };
-    let listener = ingest::bind(&args.listen, hub.clone(), conn_cfg, args.max_connections)
-        .unwrap_or_else(|e| {
-            eprintln!(
-                "stream-serve: cannot bind ingest listener {}: {e}",
-                args.listen
-            );
-            std::process::exit(2);
-        });
-    // Always announced, even under --quiet: a server whose address is
-    // unknowable is useless.
-    eprintln!(
-        "stream-serve: ingest listening on {} (line protocol + HTTP POST /ingest)",
-        listener.local_addr()
-    );
-    if let Some(path) = &args.addr_file {
-        if let Err(e) = std::fs::write(path, listener.local_addr().to_string()) {
-            eprintln!("stream-serve: cannot write {}: {e}", path.display());
-            std::process::exit(2);
-        }
-    }
-
-    let raw_args: Vec<String> = std::env::args().skip(1).collect();
-    let _telemetry = args.telemetry_addr.as_ref().map(|addr| {
-        let server = obs::serve(
-            addr,
-            obs::ReportContext {
-                tool: "stream-serve".to_string(),
-                seed: None,
-                config: config_value(&args, None, None),
-                args: raw_args.clone(),
-            },
-        )
-        .unwrap_or_else(|e| {
-            eprintln!("stream-serve: cannot bind telemetry endpoint {addr}: {e}");
-            std::process::exit(2);
-        });
-        if !args.quiet {
-            eprintln!(
-                "stream-serve: telemetry listening on http://{} (/metrics /healthz /report)",
-                server.local_addr()
-            );
-        }
-        server
-    });
-
-    let checkpoint_path = args.checkpoint.clone().or_else(|| args.resume.clone());
-    let mut every_records = args.checkpoint_every;
-    if checkpoint_path.is_some() && every_records == 0 && args.checkpoint_every_secs == 0 {
-        every_records = 100_000;
-    }
-    let sup_cfg = SupervisorConfig {
-        lenient: !args.strict,
-        max_transient_retries: args.max_retries,
-        max_restores: args.max_restores,
-        checkpoint_path,
-        checkpoint_every_records: every_records,
-        checkpoint_every_secs: args.checkpoint_every_secs,
-        ..SupervisorConfig::default()
-    };
-
-    // Engine restarts reuse the same hub: records still buffered in it
-    // survive a panic recovery. Records the crashed engine consumed
-    // past the last checkpoint cannot be rewound from the wire — those
-    // come back only through sender replay against the admit floor.
-    let fault_spec = args.inject_faults.clone().unwrap_or_default();
-    let factory_hub = hub.clone();
-    let factory =
-        move |pos: &SourcePosition| -> webpuzzle_stream::Result<FaultSource<ingest::NetSource>> {
-            let mut source = FaultSource::new(
-                ingest::NetSource::new(factory_hub.clone()),
-                fault_spec.clone(),
-            );
-            source.set_index(pos.parsed);
-            Ok(source)
-        };
-
-    // SIGTERM/SIGINT → graceful drain: finish the hub so buffered
-    // records flow out and the merged stream ends; the supervisor then
-    // takes its normal final-checkpoint-and-report exit.
-    let run_done = std::sync::Arc::new(AtomicBool::new(false));
-    {
-        let hub = hub.clone();
-        let run_done = std::sync::Arc::clone(&run_done);
-        std::thread::spawn(move || {
-            while !run_done.load(Ordering::Relaxed) {
-                if obs::shutdown::requested() {
-                    eprintln!("stream-serve: shutdown signal — draining buffered records");
-                    hub.finish();
-                    break;
-                }
-                std::thread::sleep(Duration::from_millis(50));
-            }
-        });
-    }
-
-    // Stage watchdog: a stall is records buffered in the hub while the
-    // engine makes no progress — an idle wire is not a stall.
-    let watchdog = (args.watchdog_stall_secs > 0).then(|| {
-        std::sync::Arc::new(webpuzzle_stream::Watchdog::new(
-            webpuzzle_stream::WatchdogConfig {
-                stall_after: Duration::from_secs(args.watchdog_stall_secs),
-                ..webpuzzle_stream::WatchdogConfig::default()
-            },
-            &["engine"],
-        ))
-    });
-    let engine_beat = watchdog.as_ref().map(|wd| wd.handle(0));
-    if let Some(wd) = &watchdog {
-        let wd = std::sync::Arc::clone(wd);
-        let idle_beat = wd.handle(0);
-        let hub = hub.clone();
-        let run_done = std::sync::Arc::clone(&run_done);
-        std::thread::spawn(move || {
-            while !run_done.load(Ordering::Relaxed) {
-                std::thread::sleep(Duration::from_millis(250));
-                if hub.stats().buffered > 0 {
-                    wd.scan();
-                } else {
-                    idle_beat.beat();
-                }
-            }
-        });
-    }
-
-    let mut supervisor = Supervisor::new(engine_cfg, sup_cfg, factory);
-    if let Some(ck) = resume_ck {
-        supervisor = supervisor.with_resume(ck);
-    }
-    let mut progress = obs::ProgressMeter::new("stream/records", None);
-    supervisor = supervisor.on_record(Box::new(move |_engine| {
-        progress.tick(1);
-        if let Some(beat) = &engine_beat {
-            beat.beat();
-        }
-    }));
-
-    let t0 = std::time::Instant::now();
-    let report = supervisor.run().unwrap_or_else(|e| {
-        eprintln!("stream-serve: {e}");
-        std::process::exit(1);
-    });
-    run_done.store(true, Ordering::Relaxed);
-    // The merged stream has ended; stop accepting and let connection
-    // threads drain out.
-    hub.finish();
-    listener.shutdown();
-    let summary = report.summary.clone();
-    let stats = hub.stats();
-    let elapsed = t0.elapsed();
-    obs::info(&format!(
-        "{} records from {} source(s) in {elapsed:.1?} ({:.0} rec/s)",
-        summary.records,
-        stats.sources_seen,
-        summary.records as f64 / elapsed.as_secs_f64().max(1e-9)
-    ));
-
-    print_summary(&summary, &stats);
-    print_recovery(&report, resumed);
-    if let Some(wd) = &watchdog {
-        let stalls = wd.total_stalls();
-        if stalls > 0 {
-            say!("  watchdog: {stalls} stall(s) detected during the run");
-        }
-    }
-    if obs::shutdown::requested() {
-        say!("  graceful shutdown: drained, final checkpoint and report written");
-    }
-
-    // Final telemetry tick + SLO pass before anything reads the verdict:
-    // the run report below and the --alert-on gate both must see events
-    // from the last partial sampling interval.
-    if let Some(health) = webpuzzle_bench::finish_history_sampler(sampler, args.slo) {
-        say!("{}", health.render().trim_end());
-    }
-
-    if args.json {
-        let run_report = obs::RunReport::collect(
-            "stream-serve",
-            None,
-            config_value(&args, Some(&summary), Some(&stats)),
-            raw_args,
-        );
-        match run_report.save(&args.report_path) {
-            Ok(()) => obs::info(&format!(
-                "run report written to {}",
-                args.report_path.display()
-            )),
-            Err(e) => {
-                eprintln!("failed to write {}: {e}", args.report_path.display());
-                std::process::exit(1);
-            }
-        }
-    }
-
-    if let Some(min_sev) = args.alert_on {
-        let alarms = obs::events::total_at_or_above(min_sev);
-        if alarms > 0 {
-            eprintln!(
-                "stream-serve: {alarms} drift alarm(s) at or above {}",
-                min_sev.as_str()
-            );
-            std::process::exit(3);
-        }
-        say!("alert-on: no drift alarms at or above {}", min_sev.as_str());
-    }
-
-    if (report.recoveries > 0 || resumed) && report.shed_sessions > 0 {
-        eprintln!(
-            "stream-serve: completed after recovery with {} shed session(s) \
-             ({} records) — results are complete but degraded",
-            report.shed_sessions, report.shed_records
-        );
-        std::process::exit(4);
-    }
-}
-
-fn print_summary(summary: &StreamSummary, stats: &ingest::HubStats) {
-    say!("stream-serve summary");
-    say!(
-        "  records {}  sessions {}  peak open {}  MB {:.1}",
-        summary.records,
-        summary.sessions,
-        summary.peak_open_sessions,
-        summary.bytes as f64 / 1e6
-    );
-    say!(
-        "  ingest: {} source(s), {} line(s) / {:.1} MB on the wire",
-        stats.sources_seen,
-        stats.lines_received,
-        stats.bytes_received as f64 / 1e6
-    );
-    let sheds = [
-        ("malformed", stats.skipped_malformed),
-        ("oversized", stats.oversized_lines),
-        ("torn", stats.torn_lines),
-        ("late", stats.late_dropped),
-        ("duplicate", stats.duplicate_dropped),
-        ("stall-late", stats.stall_late_dropped),
-        ("pressure-shed", stats.pressure_shed),
-        ("breaker-dropped", stats.breaker_dropped),
-        ("shutdown-dropped", stats.shutdown_dropped),
-    ];
-    let shed: Vec<String> = sheds
-        .iter()
-        .filter(|(_, n)| *n > 0)
-        .map(|(what, n)| format!("{n} {what}"))
-        .collect();
-    if shed.is_empty() {
-        say!("  ingest sheds: none");
-    } else {
-        say!("  ingest sheds: {}", shed.join(", "));
-    }
-    if stats.breaker_trips > 0 || stats.breakers_open > 0 {
-        say!(
-            "  circuit breakers: {} trip(s), {} currently open/probing",
-            stats.breaker_trips,
-            stats.breakers_open
-        );
-    }
-    if obs::governor::is_installed() {
-        say!(
-            "  governor: final state {} (pressure {:.2}); \
-             {} record(s) hard-shed, {} estimator sample(s) skipped",
-            obs::governor::state().as_str(),
-            obs::governor::pressure(),
-            summary.hard_shed_records,
-            summary.sampled_out
-        );
-    }
-    let alpha = |tail: &webpuzzle_stream::TailSnapshot| {
-        tail.alpha
-            .map(|a| format!("{a:.3}"))
-            .unwrap_or_else(|| "NA".to_string())
-    };
-    say!(
-        "  hill α: duration {}  requests {}  bytes {}",
-        alpha(&summary.duration_tail),
-        alpha(&summary.requests_tail),
-        alpha(&summary.bytes_tail)
-    );
-    let drift = &summary.drift;
-    say!(
-        "  drift observatory: {} windows, {} alarms ({} warn, {} critical)",
-        drift.windows,
-        drift.alarms,
-        drift.warn,
-        drift.critical
-    );
-}
-
-fn print_recovery(report: &SupervisorReport, resumed: bool) {
-    let eventful = resumed
-        || report.recoveries > 0
-        || report.transient_retries > 0
-        || report.poison_records() > 0
-        || report.shed_sessions > 0
-        || report.checkpoints_written > 0;
-    if !eventful {
-        return;
-    }
-    say!("  supervisor:");
-    if let Some(records) = report.resumed_from_records {
-        say!("    resumed from a checkpoint at record {records}");
-    }
-    say!(
-        "    {} recovery(ies), {} transient retry(ies), {} checkpoint(s) written",
-        report.recoveries,
-        report.transient_retries,
-        report.checkpoints_written
-    );
-    if report.poison_records() > 0 {
-        let by_kind: Vec<String> = MalformedKind::ALL
-            .iter()
-            .filter(|k| report.poison.count(**k) > 0)
-            .map(|k| format!("{} {}", k.as_str(), report.poison.count(*k)))
-            .collect();
-        say!(
-            "    {} poison record(s) skipped ({})",
-            report.poison_records(),
-            by_kind.join(", ")
-        );
-    }
+    webpuzzle_bench::stream_runtime::main("stream-serve", Some("127.0.0.1:0"));
 }

@@ -1,8 +1,12 @@
-//! Shared helpers for the benchmark harness and the `repro` binary.
+//! Shared helpers for the benchmark harness and the binaries.
 //!
 //! The interesting entry points live in `src/bin/repro.rs` (table/figure
-//! reproduction) and `benches/` (criterion performance benches); this
-//! library only hosts the small utilities they share.
+//! reproduction), [`stream_runtime`] (the one streaming runtime behind
+//! `stream-analyze` and `stream-serve`) and `benches/` (criterion
+//! performance benches); the rest of this library hosts the small
+//! utilities they share.
+
+pub mod stream_runtime;
 
 use webpuzzle_core::Result;
 use webpuzzle_obs::profile;
@@ -85,10 +89,55 @@ fn calibration_log(n: usize) -> String {
 /// Panics if the synthetic log fails to parse or push — both would be
 /// bugs, not runtime conditions.
 pub fn measure_profile_overhead_pct(n_records: usize, sample_every: u64) -> f64 {
+    paired_overhead_pct(n_records, |on| {
+        if on {
+            profile::enable(sample_every);
+        } else {
+            profile::disable();
+        }
+    })
+}
+
+/// Measure the telemetry-history sampler's cost to the engine: run the
+/// full `ClfSource` → [`StreamAnalyzer`] path over `n_records`
+/// synthetic records with the global sampler stopped and running (at
+/// `interval_ms` cadence), paired and alternating, and return
+/// `(t_on − t_off) / t_off` as a percentage (clamped at 0). The same
+/// min-over-rounds noise rejection as [`measure_profile_overhead_pct`];
+/// the sampler thread and its store are torn down on return.
+///
+/// # Panics
+///
+/// Panics if the synthetic log fails to parse or push — both would be
+/// bugs, not runtime conditions.
+pub fn measure_history_overhead_pct(n_records: usize, interval_ms: u64) -> f64 {
+    let mut sampler = None;
+    paired_overhead_pct(n_records, |on| {
+        if on {
+            sampler = Some(webpuzzle_obs::tsdb::start_sampler(
+                webpuzzle_obs::tsdb::TsdbConfig {
+                    interval: std::time::Duration::from_millis(interval_ms.max(1)),
+                    ..webpuzzle_obs::tsdb::TsdbConfig::default()
+                },
+            ));
+        } else if let Some(handle) = sampler.take() {
+            handle.shutdown();
+            webpuzzle_obs::tsdb::uninstall();
+        }
+    })
+}
+
+/// The calibration harness behind both overhead measurements: time
+/// `n_records` synthetic records through `ClfSource` →
+/// [`StreamAnalyzer`] with `arm(false)` and then `arm(true)` applied,
+/// and return the minimum over paired rounds of `(t_on − t_off) /
+/// t_off` as a percentage (clamped at 0). `arm(false)` runs after the
+/// last round, so the measured feature is off on return.
+fn paired_overhead_pct(n_records: usize, mut arm: impl FnMut(bool)) -> f64 {
     const BASE_EPOCH: i64 = 1_073_865_600;
     let text = calibration_log(n_records);
-    // Fine bins off: the 10 ms-resolution window buffers dominate setup
-    // cost and are identical in both arms anyway.
+    // Fine (10 ms) variance-time fit off: it only runs at window close,
+    // identically in both arms, so it would add work but no signal.
     let cfg = StreamConfig {
         request_window: WindowConfig {
             fine_bin_width: None,
@@ -112,15 +161,16 @@ pub fn measure_profile_overhead_pct(n_records: usize, sample_every: u64) -> f64 
     // overhead estimate; the minimum across rounds is the answer. A
     // load burst on a shared core contaminates one arm of one round
     // and inflates only that round's estimate, which the min rejects,
-    // while a real profiler cost shows up in every round and survives
-    // it. (Taking per-arm minima instead lets a burst that straddles
-    // only the enabled arms of every round masquerade as overhead.)
+    // while a real cost shows up in every round and survives it.
+    // (Taking per-arm minima instead lets a burst that straddles only
+    // the enabled arms of every round masquerade as overhead.)
     let mut pct = f64::INFINITY;
     for round in 0..9 {
-        profile::disable();
+        arm(false);
         let t_off = run(&text);
-        profile::enable(sample_every);
+        arm(true);
         let t_on = run(&text);
+        arm(false);
         pct = pct.min((t_on - t_off) / t_off.max(1e-12) * 100.0);
         if round >= 4 {
             // Five clean-ish rounds are enough; if the estimate is
@@ -133,67 +183,11 @@ pub fn measure_profile_overhead_pct(n_records: usize, sample_every: u64) -> f64 
             std::thread::sleep(std::time::Duration::from_millis(50 << (round - 4)));
         }
     }
-    profile::disable();
-    pct.max(0.0)
-}
-
-/// Measure the telemetry-history sampler's cost to the engine: run the
-/// full `ClfSource` → [`StreamAnalyzer`] path over `n_records`
-/// synthetic records with the global sampler stopped and running (at
-/// `interval_ms` cadence), paired and alternating, and return
-/// `(t_on − t_off) / t_off` as a percentage (clamped at 0). The same
-/// min-over-rounds noise rejection as [`measure_profile_overhead_pct`];
-/// the sampler thread and its store are torn down on return.
-///
-/// # Panics
-///
-/// Panics if the synthetic log fails to parse or push — both would be
-/// bugs, not runtime conditions.
-pub fn measure_history_overhead_pct(n_records: usize, interval_ms: u64) -> f64 {
-    const BASE_EPOCH: i64 = 1_073_865_600;
-    let text = calibration_log(n_records);
-    let cfg = StreamConfig {
-        request_window: WindowConfig {
-            fine_bin_width: None,
-            ..WindowConfig::default()
-        },
-        ..StreamConfig::default()
-    };
-    let run = |text: &str| -> f64 {
-        let mut engine = StreamAnalyzer::new(cfg.clone()).expect("valid calibration config");
-        let mut src = ClfSource::new(text.as_bytes(), BASE_EPOCH);
-        let t0 = std::time::Instant::now();
-        while let Some(item) = src.next_item() {
-            engine
-                .push(&item.expect("calibration line parses"))
-                .expect("sorted calibration input");
-        }
-        engine.finish().expect("calibration finish");
-        t0.elapsed().as_secs_f64()
-    };
-    let mut pct = f64::INFINITY;
-    for round in 0..9 {
-        let t_off = run(&text);
-        let sampler = webpuzzle_obs::tsdb::start_sampler(webpuzzle_obs::tsdb::TsdbConfig {
-            interval: std::time::Duration::from_millis(interval_ms.max(1)),
-            ..webpuzzle_obs::tsdb::TsdbConfig::default()
-        });
-        let t_on = run(&text);
-        sampler.shutdown();
-        webpuzzle_obs::tsdb::uninstall();
-        pct = pct.min((t_on - t_off) / t_off.max(1e-12) * 100.0);
-        if round >= 4 {
-            if pct <= 1.0 {
-                break;
-            }
-            std::thread::sleep(std::time::Duration::from_millis(50 << (round - 4)));
-        }
-    }
     pct.max(0.0)
 }
 
 /// What `--telemetry-history` / `--slo` ask for, shared by the
-/// `stream-analyze`, `stream-serve`, and `repro` binaries.
+/// stream runtime (`stream-analyze`, `stream-serve`) and `repro`.
 #[derive(Debug, Clone)]
 pub struct HistoryOptions {
     /// `--telemetry-history`: sample the registry on a cadence.

@@ -578,7 +578,8 @@ impl IngestHub {
         }
     }
 
-    /// Point-in-time operational stats (tests, `stream-serve` summary).
+    /// Point-in-time operational stats (tests, the wire run's summary and
+    /// report).
     pub fn stats(&self) -> HubStats {
         let st = self.state.lock().expect("hub lock");
         HubStats {

@@ -29,9 +29,11 @@
 //! * [`source`] — [`source::NetSource`], the `Source` +
 //!   `RecoverableSource` adapter the supervisor pulls from.
 //!
-//! Wire clients live in the bench crate: `stream-serve` runs the whole
-//! stack as a daemon, `replay` pushes a log file over the wire with
-//! configurable speed, connection fan-out and chunking.
+//! Wire clients live in the bench crate: the stream runtime runs the
+//! whole stack as a daemon under `stream-analyze --listen HOST:PORT`
+//! (or its alias `stream-serve`, which listens by default), and
+//! `replay` pushes a log file over the wire with configurable speed,
+//! connection fan-out and chunking.
 
 pub mod conn;
 pub mod hub;

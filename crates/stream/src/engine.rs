@@ -886,7 +886,7 @@ impl StreamAnalyzer {
         self.open_gauge.set(open);
         self.occupancy_gauge.set(open);
         // Session occupancy is one of the governor's budget inputs;
-        // evaluate here too so a hub-less binary (stream-analyze)
+        // evaluate here too so a hub-less run (a file source)
         // still walks the stage machine on the health-gauge cadence.
         governor::set_sessions(self.sessionizer.open_sessions() as u64);
         governor::evaluate();
